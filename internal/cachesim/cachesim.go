@@ -138,23 +138,27 @@ func (c *cache) invalidate(line uint64) bool {
 }
 
 // lineState tracks coherence metadata per line: which cores hold it and
-// what invalidated whom.
+// what invalidated whom. The zero value is an untouched line.
 type lineState struct {
 	holders     uint32 // bitmask of cores with the line in L1
 	invalidated uint32 // cores whose copy was invalidated since last hold
-	lastWriter  int8
-	lastWordOff int8 // word offset (0..7) of the most recent write
+	lastWordOff int8   // word offset (0..7) of the most recent write
 }
 
 // Hierarchy is the full multicore cache model. Coherence metadata lives
-// in a growable lineState arena indexed through lineIdx, so steady-state
-// accesses never allocate per line.
+// in a lazily paged table indexed directly by line number: a lookup is
+// two pointer loads, steady-state accesses never allocate, and host
+// memory grows with the lines a run touches. Lines past the table's
+// range lie beyond the simulated space; a zombie transaction's wild
+// load still reaches the model before the Space faults it, so those
+// lines are priced from a small map instead.
 type Hierarchy struct {
 	cores     int
 	l1        []cache
-	l2        []cache // one per socket
-	lineIdx   map[uint64]int32
-	lineArena []lineState
+	l2        []cache  // one per socket
+	sockMasks []uint32 // per socket, the bitmask of its cores
+	lines     mem.Paged[lineState]
+	wild      map[uint64]*lineState // lines at or past mem.PagedLen
 	stats     []CoreStats
 }
 
@@ -169,8 +173,7 @@ func New(cores int) *Hierarchy {
 		cores:     cores,
 		l1:        make([]cache, cores),
 		l2:        make([]cache, sockets),
-		lineIdx:   make(map[uint64]int32, 1<<16),
-		lineArena: make([]lineState, 0, 1<<16),
+		sockMasks: make([]uint32, sockets),
 		stats:     make([]CoreStats, cores),
 	}
 	for i := range h.l1 {
@@ -179,30 +182,34 @@ func New(cores int) *Hierarchy {
 	for i := range h.l2 {
 		h.l2[i] = *newCache(l2Sets, l2Ways)
 	}
+	for c := 0; c < cores; c++ {
+		h.sockMasks[socketOf(c)] |= 1 << uint(c)
+	}
 	return h
 }
 
-// lineOf returns the coherence record for line, creating it on first
-// touch. The returned pointer is valid until the next lineOf call (the
-// arena may grow), which the single-threaded access discipline makes
-// safe: each simulated access resolves its line exactly once.
-func (h *Hierarchy) lineOf(line uint64) *lineState {
-	if i, ok := h.lineIdx[line]; ok {
-		return &h.lineArena[i]
+// wildLine returns the coherence record for a line past the paged
+// table, creating it on first touch.
+func (h *Hierarchy) wildLine(line uint64) *lineState {
+	ls := h.wild[line]
+	if ls == nil {
+		if h.wild == nil {
+			h.wild = make(map[uint64]*lineState)
+		}
+		ls = new(lineState)
+		h.wild[line] = ls
 	}
-	h.lineArena = append(h.lineArena, lineState{lastWriter: -1})
-	i := int32(len(h.lineArena) - 1)
-	h.lineIdx[line] = i
-	return &h.lineArena[i]
+	return ls
 }
 
-// peekLine returns the coherence record for line, or nil if the line
-// was never touched.
+// peekLine returns the coherence record for line, or nil if it was
+// never backed. It never allocates; a never-touched record on a backed
+// page is the zero lineState, as harmless as an absent one.
 func (h *Hierarchy) peekLine(line uint64) *lineState {
-	if i, ok := h.lineIdx[line]; ok {
-		return &h.lineArena[i]
+	if line < mem.PagedLen {
+		return h.lines.Peek(line)
 	}
-	return nil
+	return h.wild[line]
 }
 
 func socketOf(core int) int { return core / CoresPerL2 }
@@ -220,7 +227,12 @@ func (h *Hierarchy) Access(core int, addr mem.Addr, write bool) Result {
 	st := &h.stats[core]
 	st.Accesses++
 
-	ls := h.lineOf(line)
+	var ls *lineState
+	if line < mem.PagedLen {
+		ls = h.lines.At(line)
+	} else {
+		ls = h.wildLine(line)
+	}
 
 	var res Result
 	bit := uint32(1) << uint(core)
@@ -238,7 +250,7 @@ func (h *Hierarchy) Access(core int, addr mem.Addr, write bool) Result {
 		st.CohMisses++
 		// False sharing: the write that invalidated us touched a
 		// different word of the line.
-		if ls.lastWriter >= 0 && ls.lastWordOff != int8((uint64(addr)>>3)&7) {
+		if ls.lastWordOff != int8((uint64(addr)>>3)&7) {
 			st.FalseShare++
 		}
 		ls.invalidated &^= bit
@@ -251,7 +263,7 @@ func (h *Hierarchy) Access(core int, addr mem.Addr, write bool) Result {
 		st.L2Misses++
 		// A dirty or shared copy in another socket's cache services the
 		// request faster than memory.
-		if ls.holders&^h.socketMask(sock) != 0 {
+		if ls.holders&^h.sockMasks[sock] != 0 {
 			res.Level = RemoteL2Hit
 		} else {
 			res.Level = MemoryHit
@@ -275,16 +287,6 @@ func (h *Hierarchy) Access(core int, addr mem.Addr, write bool) Result {
 	return res
 }
 
-func (h *Hierarchy) socketMask(sock int) uint32 {
-	var m uint32
-	for c := 0; c < h.cores; c++ {
-		if socketOf(c) == sock {
-			m |= 1 << uint(c)
-		}
-	}
-	return m
-}
-
 func (h *Hierarchy) invalidateOthers(core int, ls *lineState, line uint64, addr mem.Addr) bool {
 	bit := uint32(1) << uint(core)
 	others := ls.holders &^ bit
@@ -299,7 +301,6 @@ func (h *Hierarchy) invalidateOthers(core int, ls *lineState, line uint64, addr 
 		ls.holders &= bit
 		h.stats[core].InvalsSent++
 	}
-	ls.lastWriter = int8(core)
 	ls.lastWordOff = int8((uint64(addr) >> 3) & 7)
 	return sent
 }
@@ -309,16 +310,16 @@ func (h *Hierarchy) dropFromSocketL1s(sock int, line uint64) {
 	if ls == nil {
 		return
 	}
-	m := h.socketMask(sock)
-	if ls.holders&m == 0 {
+	m := ls.holders & h.sockMasks[sock]
+	if m == 0 {
 		return
 	}
 	for c := 0; c < h.cores; c++ {
-		if socketOf(c) == sock && ls.holders&(1<<uint(c)) != 0 {
+		if m&(1<<uint(c)) != 0 {
 			h.l1[c].invalidate(line)
-			ls.holders &^= 1 << uint(c)
 		}
 	}
+	ls.holders &^= m
 }
 
 // Stats returns a copy of core c's counters.

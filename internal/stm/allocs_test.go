@@ -1,9 +1,11 @@
 package stm
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/cachesim"
 	"repro/internal/mem"
 	"repro/internal/vtime"
 )
@@ -61,5 +63,56 @@ func TestSteadyStateAllocBudgetWithMalloc(t *testing.T) {
 				t.Errorf("steady-state malloc/free tx allocates %.2f objects/tx, want ~0", avg)
 			}
 		})
+	}
+}
+
+// nopConflict is a ConflictHook that discards every event.
+type nopConflict struct{}
+
+func (nopConflict) TxKind(int, string)       {}
+func (nopConflict) TxConflict(ConflictEvent) {}
+func (nopConflict) TxCommitted(int, string)  {}
+
+// TestWorldHostBytesAllocBudget pins the host bytes a simulated world's
+// STM and cache model cost to build: every sweep cell builds one, so
+// eagerly sized mirrors of the 2^20-entry ORT or a pre-sized coherence
+// map are paid per cell whether or not the run touches them. The lazy
+// lock mirrors and line table leave cachesim's way arrays (≈3 MiB for
+// eight cores) as the bulk; the budget holds with the conflict hook's
+// lockTids mirror attached too.
+func TestWorldHostBytesAllocBudget(t *testing.T) {
+	const budget = 4 << 20
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"plain", Config{}}, {"conflict", Config{Conflict: nopConflict{}}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			space := mem.NewSpace()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s := New(space, tc.cfg)
+			h := cachesim.New(cachesim.DefaultCores)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(s)
+			runtime.KeepAlive(h)
+			got := after.TotalAlloc - before.TotalAlloc
+			if got > budget {
+				t.Errorf("stm.New + cachesim.New allocated %d bytes, budget %d", got, budget)
+			}
+			t.Logf("stm.New + cachesim.New: %d host bytes (budget %d)", got, budget)
+		})
+	}
+}
+
+// BenchmarkNew measures building one STM with the default 2^20-entry
+// ORT, host allocations included. Each STM maps its ORT into a fresh
+// space (built off the clock), as a world does.
+func BenchmarkNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		space := mem.NewSpace()
+		b.StartTimer()
+		New(space, Config{})
 	}
 }

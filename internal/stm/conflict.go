@@ -16,10 +16,11 @@ import (
 // the disabled path costs one branch.
 //
 // The one piece of state the seam adds to the STM itself is lockTids:
-// a per-ORT-entry record of the thread that last acquired the entry,
-// maintained next to lockAddrs in acquire. It is allocated only when a
-// hook is attached (2^OrtBits entries would otherwise tax every plain
-// run) and read only to attribute a killer, never to decide protocol.
+// a lazily paged per-ORT-entry record of the thread that last acquired
+// the entry (stored as tid+1, so zero means never acquired), maintained
+// next to lockAddrs in acquire. It is allocated only when a hook is
+// attached and read only to attribute a killer, never to decide
+// protocol.
 
 // NoKiller is the ConflictEvent.Killer value of an abort with no
 // attributable rival thread (explicit restarts, OOM, validation
@@ -92,8 +93,8 @@ func (tx *Tx) conflictStripe(reason AbortReason, idx uint64, a, owner mem.Addr) 
 	}
 	killer := NoKiller
 	if tids := tx.stm.lockTids; tids != nil {
-		if t := tids[idx]; t >= 0 && int(t) != tx.th.ID() {
-			killer = int(t)
+		if t := int(tids.Get(idx)) - 1; t >= 0 && t != tx.th.ID() {
+			killer = t
 		}
 	}
 	c.TxConflict(ConflictEvent{

@@ -282,13 +282,14 @@ type STM struct {
 	conflict     ConflictHook // abort-forensics sink; nil disables
 	fallback     vtime.Lock   // serializes irrevocable fallback transactions
 
-	// lockAddrs[i] records which address acquired ORT entry i, for
-	// false-conflict classification (diagnostic only).
-	lockAddrs []mem.Addr
-	// lockTids[i] records which thread acquired ORT entry i (-1: none
-	// yet), for killer attribution. Allocated only when a ConflictHook
-	// is attached; nil otherwise (diagnostic only).
-	lockTids []int32
+	// lockAddrs records which address last acquired each ORT entry, for
+	// false-conflict classification (diagnostic only). Lazily paged: an
+	// ORT range no transaction locked costs no host memory.
+	lockAddrs mem.Paged[mem.Addr]
+	// lockTids records which thread last acquired each ORT entry, as
+	// tid+1 (0: never acquired), for killer attribution. Allocated only
+	// when a ConflictHook is attached; nil otherwise (diagnostic only).
+	lockTids *mem.Paged[int32]
 
 	txs map[int]*Tx
 
@@ -353,6 +354,10 @@ func New(space *mem.Space, cfg Config) *STM {
 	if shards*64 > mem.PageSize {
 		panic(fmt.Sprintf("stm: ClockShards %d exceeds the clock page (max %d)", shards, mem.PageSize/64))
 	}
+	if bits > 32 {
+		// The lazily paged lock mirrors index at most 2^32 entries.
+		panic(fmt.Sprintf("stm: OrtBits %d exceeds 32", bits))
+	}
 	size := uint64(1) << bits
 	// One region holds the clock page (one shard per cache line) and
 	// the ORT.
@@ -376,14 +381,10 @@ func New(space *mem.Space, cfg Config) *STM {
 		durable:      cfg.Durable,
 		race:         cfg.Race,
 		conflict:     cfg.Conflict,
-		lockAddrs:    make([]mem.Addr, size),
 		txs:          make(map[int]*Tx),
 	}
 	if cfg.Conflict != nil {
-		s.lockTids = make([]int32, size)
-		for i := range s.lockTids {
-			s.lockTids[i] = -1
-		}
+		s.lockTids = new(mem.Paged[int32])
 	}
 	if s.retryCap == 0 {
 		s.retryCap = DefaultRetryCap
@@ -766,7 +767,7 @@ func (tx *Tx) begin() {
 // aliasing — the allocator-placement effect under study).
 func (tx *Tx) abort(reason AbortReason, idx uint64, a mem.Addr) {
 	s := tx.stm
-	owner := s.lockAddrs[idx]
+	owner := s.lockAddrs.Get(idx)
 	falseConflict := owner != a
 	if falseConflict {
 		tx.stats.FalseAborts++
@@ -1011,9 +1012,9 @@ func (tx *Tx) acquire(idx uint64, a mem.Addr) {
 		if tx.th.CAS(ortA, w, lockWord(tx.th.ID())) {
 			tx.lockedSet.put(idx, int32(len(tx.locked)))
 			tx.locked = append(tx.locked, lockRec{idx: idx, prev: w})
-			s.lockAddrs[idx] = a
+			s.lockAddrs.Set(idx, a)
 			if s.lockTids != nil {
-				s.lockTids[idx] = int32(tx.th.ID())
+				s.lockTids.Set(idx, int32(tx.th.ID())+1)
 			}
 			break
 		}

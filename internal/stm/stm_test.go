@@ -9,6 +9,7 @@ import (
 	_ "repro/internal/alloc/tcmalloc"
 
 	"repro/internal/alloc"
+	"repro/internal/cachesim"
 	"repro/internal/mem"
 	"repro/internal/vtime"
 )
@@ -395,6 +396,46 @@ func TestForeignPanicPropagatesAndCleansUp(t *testing.T) {
 	s.Atomic(th, func(tx *Tx) { tx.Store(a, 6) })
 	if space.Load(a) != 6 {
 		t.Error("STM unusable after foreign panic")
+	}
+}
+
+// TestZombieWildLoadAborts drives the zombie read tryRun models: a
+// transaction whose read set no longer validates follows a stale word
+// to an address past the simulated space (mem.MaxAddr and beyond). The
+// cache model prices the load, the Space faults it, and the attempt
+// aborts with AbortValidation instead of crashing the run; the retry
+// commits.
+func TestZombieWildLoadAborts(t *testing.T) {
+	space, _ := newWorld(1)
+	s := New(space, Config{})
+	a := space.MustMap(mem.PageSize, 0)
+	th := vtime.Solo(space, 0, cachesim.New(1))
+	wilds := []mem.Addr{mem.MaxAddr, mem.MaxAddr + 1<<27 + 8, 1 << 62}
+	for _, wild := range wilds {
+		attempts := 0
+		s.Atomic(th, func(tx *Tx) {
+			attempts++
+			v := tx.Load(a)
+			if attempts == 1 {
+				// A rival commit re-versions a's stripe behind this
+				// transaction's back, then the stale snapshot leads it
+				// off the map.
+				ortA := s.ortAddr(s.OrtIndex(a))
+				space.Store(ortA, space.Load(ortA)+versionWord(1))
+				tx.Load(wild)
+			}
+			tx.Store(a, v+1)
+		})
+		if attempts != 2 {
+			t.Errorf("load of %#x: %d attempts, want 2", uint64(wild), attempts)
+		}
+	}
+	st := s.Stats()
+	if got := st.ByReason[AbortValidation]; got != uint64(len(wilds)) {
+		t.Errorf("validation aborts = %d, want %d", got, len(wilds))
+	}
+	if got := space.Load(a); got != uint64(len(wilds)) {
+		t.Errorf("counter = %d, want %d", got, len(wilds))
 	}
 }
 

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -22,8 +23,8 @@ func TestU64TableBasics(t *testing.T) {
 	if v, ok := tb.get(7); !ok || v != 43 {
 		t.Fatalf("get(7) after overwrite = %d, %v; want 43, true", v, ok)
 	}
-	if tb.n != 2 {
-		t.Fatalf("n = %d after two distinct keys, want 2", tb.n)
+	if tb.len() != 2 {
+		t.Fatalf("n = %d after two distinct keys, want 2", tb.len())
 	}
 	if _, ok := tb.get(8); ok {
 		t.Fatal("absent key reported a hit")
@@ -68,8 +69,8 @@ func TestU64TableGrowth(t *testing.T) {
 	if len(tb.keys) < n {
 		t.Fatalf("capacity %d after %d inserts; growth did not keep up", len(tb.keys), n)
 	}
-	if tb.n != n {
-		t.Fatalf("n = %d, want %d", tb.n, n)
+	if tb.len() != n {
+		t.Fatalf("n = %d, want %d", tb.len(), n)
 	}
 	for i := uint64(0); i < n; i++ {
 		if v, ok := tb.get(i * 3); !ok || v != int32(i) {
@@ -88,8 +89,8 @@ func TestU64TableResetReuse(t *testing.T) {
 	}
 	capBefore := len(tb.keys)
 	tb.reset()
-	if tb.n != 0 {
-		t.Fatalf("n = %d after reset, want 0", tb.n)
+	if tb.len() != 0 {
+		t.Fatalf("n = %d after reset, want 0", tb.len())
 	}
 	if len(tb.keys) != capBefore {
 		t.Fatalf("reset reallocated: capacity %d -> %d", capBefore, len(tb.keys))
@@ -112,7 +113,7 @@ func TestU64TableResetReuse(t *testing.T) {
 	}
 	tb.reset()
 	tb.reset() // idempotent on an already-empty table
-	if tb.n != 0 || len(tb.keys) != capBefore {
+	if tb.len() != 0 || len(tb.keys) != capBefore {
 		t.Fatal("double reset changed state")
 	}
 }
@@ -142,9 +143,114 @@ func TestU64TableFuzz(t *testing.T) {
 		default:
 			tb.reset()
 			clear(ref)
+			requireEmpty(t, &tb, fmt.Sprintf("op %d", op))
 		}
 	}
-	if tb.n != len(ref) {
-		t.Fatalf("final n = %d, reference holds %d", tb.n, len(ref))
+	if tb.len() != len(ref) {
+		t.Fatalf("final n = %d, reference holds %d", tb.len(), len(ref))
+	}
+}
+
+// requireEmpty fails unless every key slot of tb is zero.
+func requireEmpty(t *testing.T, tb *u64Table, when string) {
+	t.Helper()
+	if tb.len() != 0 {
+		t.Fatalf("%s: len = %d after reset, want 0", when, tb.len())
+	}
+	for i, ek := range tb.keys {
+		if ek != 0 {
+			t.Fatalf("%s: slot %d still holds key %d after reset", when, i, ek-1)
+		}
+	}
+}
+
+// TestU64TableResetAfterGrowth drives the table and a reference map
+// through the pattern that made reset cost the table's capacity: one
+// large transaction (a ≥200k-key fill that grows the table to 2^19
+// slots) followed by thousands of small ones (1–16 keys each), with one
+// mid-stream cycle large enough to grow the table again. Every answer
+// must match the map, and after every reset no key slot may be non-zero
+// — the slot-list reset must clear exactly what was filled.
+func TestU64TableResetAfterGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var tb u64Table
+	ref := map[uint64]int32{}
+	key := func() uint64 { return rng.Uint64() >> uint(16*rng.Intn(3)) }
+	check := func(cycle int) {
+		for k, rv := range ref {
+			if v, ok := tb.get(k); !ok || v != rv {
+				t.Fatalf("cycle %d: get(%d) = (%d, %v), reference (%d, true)", cycle, k, v, ok, rv)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			k := key()
+			v, ok := tb.get(k)
+			if rv, rok := ref[k]; ok != rok || v != rv {
+				t.Fatalf("cycle %d: get(%d) = (%d, %v), reference (%d, %v)", cycle, k, v, ok, rv, rok)
+			}
+		}
+	}
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			k, v := key(), int32(rng.Intn(1<<20))
+			tb.put(k, v)
+			ref[k] = v
+		}
+	}
+
+	fill(200_000)
+	check(-1)
+	if len(tb.keys) < 1<<19 {
+		t.Fatalf("200k-key fill left %d slots, want ≥ 2^19", len(tb.keys))
+	}
+	tb.reset()
+	ref = map[uint64]int32{}
+	requireEmpty(t, &tb, "after the large fill")
+
+	const cycles, growAt = 2000, 1500
+	for c := 0; c < cycles; c++ {
+		n := 1 + rng.Intn(16)
+		slots := len(tb.keys)
+		if c == growAt {
+			// One cycle past 3/4 load grows the table mid-stream.
+			n = slots/4*3 + 1024
+		}
+		fill(n)
+		if c == growAt && len(tb.keys) <= slots {
+			t.Fatalf("cycle %d: %d puts did not grow the table past %d slots", c, n, slots)
+		}
+		check(c)
+		if tb.len() != len(ref) {
+			t.Fatalf("cycle %d: len = %d, reference holds %d", c, tb.len(), len(ref))
+		}
+		tb.reset()
+		ref = map[uint64]int32{} // clear() would cost the map its grown capacity
+		requireEmpty(t, &tb, fmt.Sprintf("cycle %d", c))
+	}
+}
+
+// BenchmarkTableResetAfterGrowth measures the steady-state cycle of a
+// small transaction (8 keys put, probed and reset) on a table an
+// earlier 200k-key transaction grew to 2^19 slots. The cost must track
+// the 8 keys, not the capacity.
+func BenchmarkTableResetAfterGrowth(b *testing.B) {
+	var tb u64Table
+	for k := uint64(0); k < 200_000; k++ {
+		tb.put(k*0x10001, int32(k))
+	}
+	tb.reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := uint64(i) * 8
+		for k := base; k < base+8; k++ {
+			tb.put(k, int32(k))
+		}
+		for k := base; k < base+8; k++ {
+			if _, ok := tb.get(k); !ok {
+				b.Fatal("lost key")
+			}
+		}
+		tb.reset()
 	}
 }
